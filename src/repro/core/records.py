@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 @dataclass(frozen=True)
 class InvocationRecord:
-    """One completed (or dropped) plugin invocation."""
+    """One completed (or watchdog-killed) plugin invocation."""
 
     plugin: str
     component: str
@@ -34,6 +34,10 @@ class InvocationRecord:
     # True when the supervisor's watchdog reaped a hung invocation; such
     # records carry no cost (their CPU/GPU slots were reclaimed).
     killed: bool = False
+    # When the outputs became visible: the vsync a vsync-aligned plugin
+    # held them to (``swap_time - end`` is the MTP swap wait); None for
+    # every other plugin, whose outputs are released at ``end``.
+    swap_time: Optional[float] = None
 
     @property
     def wall_time(self) -> float:

@@ -23,28 +23,16 @@ noise -- produces the execution-time variability of Fig. 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import nullcontext
 from typing import Callable, Dict, Optional
 
 from repro.core.plugin import InvocationContext, IterationResult, OnTopic, OnVsync, Periodic, Plugin
 from repro.core.records import InvocationRecord, RecordLogger
 from repro.core.switchboard import Switchboard
 from repro.hardware.platform import Platform
-from repro.hardware.timing import TimingModel
+from repro.hardware.timing import CostSample, TimingModel
 from repro.sim.engine import Engine, Interrupt
 from repro.sim.resources import Resource
-
-
-@dataclass
-class CompletionInfo:
-    """Timing facts handed to ``plugin.on_complete`` after an invocation."""
-
-    scheduled_at: float
-    start: float
-    end: float
-    cpu_time: float
-    gpu_time: float
-    swap_time: float   # when outputs became visible (vsync for OnVsync)
 
 
 class Scheduler:
@@ -118,19 +106,8 @@ class Scheduler:
             scheduled = tick * period
             if scheduled > self.engine.now:
                 yield self.engine.timeout(scheduled - self.engine.now)
-            if self.supervisor is not None and self.supervisor.is_quarantined(plugin.name):
-                # Quarantine is terminal: stop driving (and stop logging
-                # drops -- a dead plugin must not inflate drop counts).
+            if not self._fire(plugin, scheduled, period, name=f"{plugin.name}#{tick}"):
                 return
-            if self._busy[plugin.name]:
-                self.logger.log_drop(plugin.name, scheduled)
-                if self.obs is not None:
-                    self.obs.on_scheduler_drop(plugin.name, scheduled)
-            else:
-                self._busy[plugin.name] = True
-                self._spawn(
-                    plugin, scheduled, deadline=period, name=f"{plugin.name}#{tick}"
-                )
             tick += 1
 
     def _vsync_driver(self, plugin: Plugin, trigger: OnVsync):
@@ -141,48 +118,22 @@ class Scheduler:
             start_at = vsync - trigger.lead
             if start_at > self.engine.now:
                 yield self.engine.timeout(start_at - self.engine.now)
-            if self.supervisor is not None and self.supervisor.is_quarantined(plugin.name):
+            # Deadline = the lead: finishing after it means the vsync was
+            # missed and the frame slips to the next one.
+            if not self._fire(
+                plugin, start_at, trigger.lead, vsync_period=period, name=f"{plugin.name}#{tick}"
+            ):
                 return
-            if self._busy[plugin.name]:
-                self.logger.log_drop(plugin.name, start_at)
-                if self.obs is not None:
-                    self.obs.on_scheduler_drop(plugin.name, start_at)
-            else:
-                # Deadline = the lead: finishing after it means the vsync
-                # was missed and the frame slips to the next one.
-                self._busy[plugin.name] = True
-                self._spawn(
-                    plugin,
-                    start_at,
-                    deadline=trigger.lead,
-                    vsync_period=period,
-                    name=f"{plugin.name}#{tick}",
-                )
             tick += 1
 
     def _install_topic_driver(self, plugin: Plugin, trigger: OnTopic) -> None:
-        topic = self.switchboard.topic(trigger.topic)
+        def on_publish(event) -> None:
+            now = self.engine.now
+            self._fire(plugin, now, None, trigger_event=event, name=f"{plugin.name}@{now:.4f}")
 
-        def on_publish(_event) -> None:
-            if self.supervisor is not None and self.supervisor.is_quarantined(plugin.name):
-                return
-            if self._busy[plugin.name]:
-                self.logger.log_drop(plugin.name, self.engine.now)
-                if self.obs is not None:
-                    self.obs.on_scheduler_drop(plugin.name, self.engine.now)
-            else:
-                self._busy[plugin.name] = True
-                self._spawn(
-                    plugin,
-                    self.engine.now,
-                    deadline=None,
-                    trigger_event=_event,
-                    name=f"{plugin.name}@{self.engine.now:.4f}",
-                )
+        self.switchboard.topic(trigger.topic).subscribe_callback(on_publish)
 
-        topic.subscribe_callback(on_publish)
-
-    def _spawn(
+    def _fire(
         self,
         plugin: Plugin,
         scheduled_at: float,
@@ -190,17 +141,29 @@ class Scheduler:
         vsync_period: Optional[float] = None,
         trigger_event=None,
         name: str = "",
-    ) -> None:
-        """Launch one invocation process, arming the watchdog if supervised."""
+    ) -> bool:
+        """Launch one invocation, or log a drop if the plugin is still busy.
+
+        Returns False once the plugin is quarantined: quarantine is
+        terminal, so drivers stop (and a dead plugin logs no drops).  A
+        supervised invocation gets a watchdog armed against hangs.
+        """
+        supervisor = self.supervisor
+        if supervisor is not None and supervisor.is_quarantined(plugin.name):
+            return False
+        if self._busy[plugin.name]:
+            self.logger.log_drop(plugin.name, scheduled_at)
+            if self.obs is not None:
+                self.obs.on_scheduler_drop(plugin.name, scheduled_at)
+            return True
+        # Busy from now, before any other same-timestamp trigger fires.
+        self._busy[plugin.name] = True
         process = self.engine.process(
-            self._invocation(
-                plugin, scheduled_at, deadline, vsync_period=vsync_period, trigger_event=trigger_event
-            ),
+            self._invocation(plugin, scheduled_at, deadline, vsync_period, trigger_event),
             name=name,
         )
-        supervisor = self.supervisor
         if supervisor is None:
-            return
+            return True
         timeout = supervisor.watchdog_timeout(deadline)
 
         def watchdog_check() -> None:
@@ -214,10 +177,17 @@ class Scheduler:
                 process.interrupt("watchdog")
 
         self.engine.call_later(timeout, watchdog_check)
+        return True
 
     # ------------------------------------------------------------------
     # One invocation
     # ------------------------------------------------------------------
+
+    def _activate(self, span):
+        """Make ``span`` (observability only) current around synchronous
+        work, so topic reads become lineage links and publishes carry its
+        trace context.  Never held across a yield."""
+        return self.obs.tracer.activate(span) if span is not None else nullcontext()
 
     def _run_iteration(self, plugin: Plugin, index: int, trigger_event, span=None):
         """Run ``plugin.iteration`` under supervision (crash/retry/quarantine).
@@ -225,10 +195,6 @@ class Scheduler:
         Returns the :class:`IterationResult`, or None when the invocation
         was abandoned (quarantined, or retries exhausted).  Unsupervised,
         this is exactly one ``iteration`` call and exceptions propagate.
-
-        ``span`` (observability only) is activated around the synchronous
-        ``iteration`` call so async topic reads inside it become lineage
-        links; it is never held across a yield.
         """
         injector = self.injector
         supervisor = self.supervisor
@@ -243,9 +209,7 @@ class Scheduler:
                     injector.check_crash(plugin.name, index, self.engine.now, attempt)
                 if span is not None:
                     self.obs.note_attempt(span, ctx.now, attempt)
-                    with self.obs.tracer.activate(span):
-                        result = plugin.iteration(ctx)
-                else:
+                with self._activate(span):
                     result = plugin.iteration(ctx)
             except Interrupt:
                 raise
@@ -284,8 +248,6 @@ class Scheduler:
         vsync_period: Optional[float] = None,
         trigger_event=None,
     ):
-        # The spawner already marked the plugin busy (it must happen
-        # before any other same-timestamp trigger fires).
         index = self._indices[plugin.name]
         self._indices[plugin.name] += 1
         start = self.engine.now
@@ -298,13 +260,15 @@ class Scheduler:
         # Resource slots currently held, so a watchdog kill can reclaim
         # them (a hung invocation must not leak a CPU core or the GPU).
         held: list = []
+        swap_time: Optional[float] = None
+        killed = False
         try:
             result: Optional[IterationResult] = yield from self._run_iteration(
                 plugin, index, trigger_event, span=span
             )
             if result is None or result.skipped:
                 if span is not None:
-                    obs.end_invocation(span, end=self.engine.now, skipped=True)
+                    obs.end_invocation(span, self.engine.now)
                 self._busy[plugin.name] = False
                 return
 
@@ -315,8 +279,6 @@ class Scheduler:
             )
             dilation = self.dilation.get(plugin.component, 1.0)
             if dilation != 1.0:
-                from repro.hardware.timing import CostSample
-
                 cost = CostSample(cost.cpu_time * dilation, cost.gpu_time * dilation)
 
             # Injected stall: the plugin wedges for N deadline-ticks while
@@ -369,90 +331,48 @@ class Scheduler:
 
             end = self.engine.now
             # Output release: vsync-aligned plugins hold results to the vsync.
-            swap_time = end
             if vsync_period is not None:
                 swap_time = math.ceil(end / vsync_period - 1e-9) * vsync_period
                 if swap_time > end:
                     yield self.engine.timeout(swap_time - end)
         except Interrupt:
-            # Watchdog kill: reclaim any held slots, log a killed record
-            # (no cost -- the slots were reclaimed), release the plugin.
+            # Watchdog kill: reclaim any held slots.  The killed record
+            # carries no cost (the slots were reclaimed) and no swap.
             for resource, pending in held:
                 resource.cancel(pending)
-            if span is not None:
-                obs.end_invocation(span, end=self.engine.now, killed=True)
-            self.logger.log(
-                InvocationRecord(
-                    plugin=plugin.name,
-                    component=plugin.component,
-                    pipeline=plugin.pipeline,
-                    index=index,
-                    scheduled_at=scheduled_at,
-                    start=start,
-                    end=self.engine.now,
-                    cpu_time=0.0,
-                    gpu_time=0.0,
-                    deadline=deadline,
-                    missed_deadline=deadline is not None,
-                    killed=True,
-                )
-            )
-            self._busy[plugin.name] = False
-            return
-
-        if span is not None:
-            # Activate around the (synchronous) publishes so outputs are
-            # stamped with this invocation's trace context.
-            with obs.tracer.activate(span):
+            killed, end = True, self.engine.now
+            cost, swap_time = CostSample(0.0, 0.0), None
+        else:
+            with self._activate(span):
                 for output in result.outputs:
                     self.switchboard.topic(output.topic).put(
                         self.engine.now, output.data, data_time=output.data_time
                     )
-        else:
-            for output in result.outputs:
-                self.switchboard.topic(output.topic).put(
-                    self.engine.now, output.data, data_time=output.data_time
-                )
 
-        missed = deadline is not None and (end - scheduled_at) > deadline
-        if span is not None:
-            obs.end_invocation(
-                span,
-                end=end,
-                cpu_time=cost.cpu_time,
-                gpu_time=cost.gpu_time,
-                swap_time=swap_time if vsync_period is not None else None,
-                missed_deadline=missed,
-            )
-        self.logger.log(
-            InvocationRecord(
-                plugin=plugin.name,
-                component=plugin.component,
-                pipeline=plugin.pipeline,
-                index=index,
-                scheduled_at=scheduled_at,
-                start=start,
-                end=end,
-                cpu_time=cost.cpu_time,
-                gpu_time=cost.gpu_time,
-                deadline=deadline,
-                missed_deadline=missed,
-            )
+        # A killed invocation never met its deadline, whatever the clock says.
+        record = InvocationRecord(
+            plugin=plugin.name,
+            component=plugin.component,
+            pipeline=plugin.pipeline,
+            index=index,
+            scheduled_at=scheduled_at,
+            start=start,
+            end=end,
+            cpu_time=cost.cpu_time,
+            gpu_time=cost.gpu_time,
+            deadline=deadline,
+            missed_deadline=deadline is not None and (killed or end - scheduled_at > deadline),
+            killed=killed,
+            swap_time=swap_time,
         )
-        on_complete: Optional[Callable[[CompletionInfo], None]] = getattr(
+        if span is not None:
+            obs.end_invocation(span, end, record)
+        self.logger.log(record)
+        on_complete: Optional[Callable[[InvocationRecord], None]] = getattr(
             plugin, "on_complete", None
         )
-        if on_complete is not None:
-            on_complete(
-                CompletionInfo(
-                    scheduled_at=scheduled_at,
-                    start=start,
-                    end=end,
-                    cpu_time=cost.cpu_time,
-                    gpu_time=cost.gpu_time,
-                    swap_time=swap_time,
-                )
-            )
+        if on_complete is not None and not killed:
+            on_complete(record)
         self._busy[plugin.name] = False
 
     # ------------------------------------------------------------------

@@ -180,31 +180,29 @@ class Observability:
             "crash", track=span.track, attributes={"error": repr(exc), "at": now}
         )
 
-    def end_invocation(
-        self,
-        span: Span,
-        end: float,
-        cpu_time: float = 0.0,
-        gpu_time: float = 0.0,
-        swap_time: Optional[float] = None,
-        missed_deadline: bool = False,
-        killed: bool = False,
-        skipped: bool = False,
-    ) -> None:
-        """Close an invocation span and update the scheduler metrics."""
-        span.attributes["cpu_time"] = cpu_time
-        span.attributes["gpu_time"] = gpu_time
-        if skipped:
-            span.attributes["skipped"] = True
-        if killed:
+    def end_invocation(self, span: Span, end: float, record=None) -> None:
+        """Close an invocation span and update the scheduler metrics.
+
+        ``record`` is the invocation's
+        :class:`~repro.core.records.InvocationRecord`; None means the
+        iteration was skipped (or abandoned) and did no work.  A killed
+        invocation counts as a kill only, not as a completion or a miss.
+        """
+        if record is None:
+            span.attributes.update(cpu_time=0.0, gpu_time=0.0, skipped=True)
+            self.tracer.end_span(span, end=end)
+            return
+        span.attributes["cpu_time"] = record.cpu_time
+        span.attributes["gpu_time"] = record.gpu_time
+        if record.killed:
             span.attributes["killed"] = True
             self._kills.inc(plugin=span.track)
-        if missed_deadline:
+        elif record.missed_deadline:
             span.attributes["missed_deadline"] = True
             self._deadline_misses.inc(plugin=span.track)
-        if swap_time is not None:
-            span.attributes["swap_time"] = swap_time
-            if swap_time > end:
+        if record.swap_time is not None:
+            span.attributes["swap_time"] = record.swap_time
+            if record.swap_time > end:
                 swap = self.tracer.start_span(
                     "swap",
                     track=span.track,
@@ -212,9 +210,9 @@ class Observability:
                     parent=span.context,
                     start=end,
                 )
-                swap.end = swap_time
+                swap.end = record.swap_time
         self.tracer.end_span(span, end=end)
-        if not killed and not skipped:
+        if not record.killed:
             self._invocations.inc(plugin=span.track)
 
     def on_scheduler_drop(self, plugin_name: str, scheduled_at: float) -> None:

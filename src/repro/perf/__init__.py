@@ -8,10 +8,7 @@ This package collects the machinery those kernels share:
 - :mod:`repro.perf.fft` -- batched 2-D FFT helpers over a ``(..., N, N)``
   stack (one backend call instead of a Python loop of transforms);
 - :mod:`repro.perf.cache` -- :class:`PlanCache` for memoizing expensive
-  precomputed operator arrays (e.g. angular-spectrum transfer stacks) and
-  :class:`ArrayCache` for reusable scratch buffers;
-- :mod:`repro.perf.parallel` -- :func:`parallel_map`, a process-pool map
-  with a sequential fallback, for embarrassingly parallel benchmark sweeps;
+  precomputed operator arrays (e.g. angular-spectrum transfer stacks);
 - :mod:`repro.perf.profile` -- the :func:`profiled` decorator and
   :func:`profile_summary`, lightweight opt-in wall-clock instrumentation of
   the accelerated kernels.
@@ -22,20 +19,17 @@ times both paths and checks their numerical parity (see
 ``docs/performance.md``).
 """
 
-from repro.perf.cache import ArrayCache, PlanCache, global_plan_cache, global_scratch
+from repro.perf.cache import PlanCache, global_plan_cache
 from repro.perf.fft import FFT_BACKEND, batched_fft2, batched_ifft2, fft2, ifft2
-from repro.perf.parallel import parallel_map
 from repro.perf.profile import (
     enable_profiling,
     profile_summary,
     profiled,
     profiling_enabled,
     reset_profile,
-    span,
 )
 
 __all__ = [
-    "ArrayCache",
     "FFT_BACKEND",
     "PlanCache",
     "batched_fft2",
@@ -43,12 +37,9 @@ __all__ = [
     "enable_profiling",
     "fft2",
     "global_plan_cache",
-    "global_scratch",
     "ifft2",
-    "parallel_map",
     "profile_summary",
     "profiled",
     "profiling_enabled",
     "reset_profile",
-    "span",
 ]

@@ -2,9 +2,9 @@
 
 Profiling is disabled by default so the hooks cost one attribute load and a
 branch per call.  When enabled (``enable_profiling()``), every ``@profiled``
-function and every ``span(...)`` block records wall time into a process-wide
-registry that ``profile_summary()`` renders as plain dictionaries — the same
-shape ``benchmarks/perf_harness.py`` writes into ``BENCH_hotpaths.json``.
+function records wall time into a process-wide registry that
+``profile_summary()`` renders as plain dictionaries — the same shape
+``benchmarks/perf_harness.py`` writes into ``BENCH_hotpaths.json``.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional
+from typing import Any, Callable, Dict, Optional
 
 _enabled = False
 _records: Dict[str, Dict[str, float]] = {}
-# Callers (and pool workers merging back, see repro.perf.parallel) may hit
-# the registry from multiple threads; one lock keeps aggregation exact.
+# Callers may hit the registry from multiple threads; one lock keeps
+# aggregation exact.
 _lock = threading.Lock()
 # Optional repro.obs tracer: when set, every profiled call also becomes a
 # ``kernel`` span nested in the currently active plugin span, placing the
@@ -27,7 +26,7 @@ _tracer: Optional[Any] = None
 
 
 def enable_profiling(on: bool = True) -> None:
-    """Globally switch the ``@profiled`` / ``span`` hooks on or off."""
+    """Globally switch the ``@profiled`` hooks on or off."""
     global _enabled
     _enabled = on
 
@@ -55,26 +54,6 @@ def set_tracer(tracer: Optional[Any]) -> None:
     _tracer = tracer
 
 
-def snapshot_records() -> Dict[str, Dict[str, float]]:
-    """A deep copy of the registry (what pool workers ship back)."""
-    with _lock:
-        return {name: dict(stats) for name, stats in _records.items()}
-
-
-def merge_records(records: Mapping[str, Mapping[str, float]]) -> None:
-    """Fold another registry snapshot into this one (pool-worker merge)."""
-    with _lock:
-        for name, incoming in records.items():
-            stats = _records.get(name)
-            if stats is None:
-                _records[name] = dict(incoming)
-            else:
-                stats["calls"] += incoming["calls"]
-                stats["total_s"] += incoming["total_s"]
-                stats["min_s"] = min(stats["min_s"], incoming["min_s"])
-                stats["max_s"] = max(stats["max_s"], incoming["max_s"])
-
-
 def _record(name: str, elapsed: float) -> None:
     with _lock:
         stats = _records.get(name)
@@ -94,19 +73,6 @@ def _record(name: str, elapsed: float) -> None:
     if tracer is not None and tracer.current() is not None:
         kernel = tracer.start_span(name, track=tracer.current().track, kind="kernel", attributes={"wall_s": elapsed})
         tracer.end_span(kernel, end=kernel.start)
-
-
-@contextmanager
-def span(name: str) -> Iterator[None]:
-    """Record the wall time of a ``with`` block under ``name`` (when enabled)."""
-    if not _enabled:
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        _record(name, time.perf_counter() - start)
 
 
 def profiled(name_or_fn: Optional[Callable[..., Any] | str] = None) -> Callable[..., Any]:

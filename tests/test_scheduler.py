@@ -209,7 +209,7 @@ def test_on_complete_hook_invoked():
     assert len(completions) >= 9
     start, end, swap = completions[0]
     assert end - start == pytest.approx(0.002)
-    assert swap == end  # non-vsync plugins release immediately
+    assert swap is None  # only vsync-aligned plugins hold outputs to a swap
 
 
 def test_unknown_trigger_type_rejected():
