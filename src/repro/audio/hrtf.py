@@ -15,6 +15,7 @@ domain (the FFT -> multiply -> IFFT *binauralization* task of Table VII).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -57,19 +58,26 @@ def head_shadow_gain(direction: np.ndarray, ear_axis: np.ndarray, freqs: np.ndar
 
 @dataclass
 class HrtfSet:
-    """Frequency-domain ear responses for a virtual speaker layout."""
+    """Frequency-domain ear responses for a virtual speaker layout.
+
+    The ear responses and the HOA decoder are built on first use, so a
+    runtime that never renders audio never pays for them.
+    """
 
     sample_rate_hz: int = 48000
     n_speakers: int = 16
     fft_size: int = 2048
     order: int = 3
     speaker_directions: np.ndarray = field(init=False)
-    responses: np.ndarray = field(init=False)  # (speakers, 2 ears, bins)
 
     def __post_init__(self) -> None:
         if self.fft_size & (self.fft_size - 1):
             raise ValueError("fft_size must be a power of two")
         self.speaker_directions = fibonacci_directions(self.n_speakers)
+
+    @cached_property
+    def responses(self) -> np.ndarray:
+        """Ear responses, (speakers, 2 ears, bins)."""
         freqs = np.fft.rfftfreq(self.fft_size, d=1.0 / self.sample_rate_hz)
         responses = np.empty((self.n_speakers, 2, len(freqs)), dtype=complex)
         for s, direction in enumerate(self.speaker_directions):
@@ -77,8 +85,11 @@ class HrtfSet:
                 delay = interaural_delay(direction, ear_axis) + HEAD_RADIUS / SPEED_OF_SOUND
                 gain = head_shadow_gain(direction, ear_axis, freqs)
                 responses[s, e] = gain * np.exp(-2j * np.pi * freqs * delay)
-        self.responses = responses
-        self._decoder = decode_matrix(self.order, self.speaker_directions)
+        return responses
+
+    @cached_property
+    def _decoder(self) -> np.ndarray:
+        return decode_matrix(self.order, self.speaker_directions)
 
     def binauralize_block(
         self, soundfield: np.ndarray, tail: np.ndarray | None = None

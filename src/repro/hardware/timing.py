@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from scipy.special import ndtri
 
 from repro.hardware.platform import Platform
 
@@ -211,9 +212,7 @@ class TimingModel:
         model = self._model_for(component, app)
         key = "application" if component == "application" else component
         cpu_scale, gpu_scale = self._scales(key)
-        from scipy.stats import norm
-
-        z = float(norm.ppf(q))
+        z = float(ndtri(q))  # scipy.stats.norm.ppf(q), without scipy.stats
         total = 0.0
         for mean, scale in ((model.cpu_mean, cpu_scale), (model.gpu_mean, gpu_scale)):
             if mean > 0:

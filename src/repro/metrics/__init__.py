@@ -7,11 +7,12 @@
 - :mod:`repro.metrics.trajectory` -- absolute/relative trajectory error;
 - :mod:`repro.metrics.qoe` -- offline image-quality evaluation harness
   (the actual-vs-idealized comparison of §III-E).
+
+SSIM and FLIP are not re-exported here: import them from their submodules,
+so that loading the MTP metrics does not pull in ``scipy.ndimage``.
 """
 
-from repro.metrics.flip import flip, one_minus_flip
 from repro.metrics.mtp import MtpSample, MtpSummary, summarize_mtp
-from repro.metrics.ssim import ssim
 from repro.metrics.temporal import TemporalQuality, audio_spatial_similarity, temporal_quality
 from repro.metrics.trajectory import absolute_trajectory_error, relative_pose_error
 
@@ -19,10 +20,7 @@ __all__ = [
     "MtpSample",
     "MtpSummary",
     "absolute_trajectory_error",
-    "flip",
-    "one_minus_flip",
     "relative_pose_error",
-    "ssim",
     "summarize_mtp",
     "TemporalQuality",
     "audio_spatial_similarity",

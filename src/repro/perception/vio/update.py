@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import gammaincinv
 
 from repro.maths.quaternion import quat_to_matrix
 from repro.maths.se3 import skew
@@ -23,10 +23,15 @@ from repro.sensors.camera import CameraIntrinsics
 
 @lru_cache(maxsize=512)
 def chi2_threshold(dof: int, confidence: float = 0.95) -> float:
-    """Cached inverse chi-squared CDF for gating."""
+    """Cached inverse chi-squared CDF for gating.
+
+    ``2 * gammaincinv(dof / 2, confidence)`` is how ``scipy.stats.chi2.ppf``
+    computes it, so the result is the same to the bit without importing
+    ``scipy.stats``.
+    """
     if dof < 1:
         raise ValueError(f"dof must be >= 1: {dof}")
-    return float(chi2_dist.ppf(confidence, dof))
+    return float(2 * gammaincinv(dof / 2, confidence))
 
 
 def feature_jacobians(

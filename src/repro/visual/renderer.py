@@ -14,6 +14,7 @@ the input-dependence signal for the timing model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -80,8 +81,19 @@ class Renderer:
     def __init__(self, scene: Scene, camera: Optional[RenderCamera] = None) -> None:
         self.scene = scene
         self.camera = camera or RenderCamera()
-        self._rays_cam = self.camera.rays_camera().reshape(-1, 3)
-        self._z_scale = np.linalg.norm(self._rays_cam, axis=1)
+
+    # The per-pixel ray grid is built on the first render: model-fidelity
+    # runs construct a renderer but never render.
+
+    @cached_property
+    def _rays_cam(self) -> np.ndarray:
+        """Camera-frame ray of every pixel, (H*W, 3)."""
+        return self.camera.rays_camera().reshape(-1, 3)
+
+    @cached_property
+    def _z_scale(self) -> np.ndarray:
+        """Ray length per unit camera z, to turn hit distance into depth."""
+        return np.linalg.norm(self._rays_cam, axis=1)
 
     # ------------------------------------------------------------------
 

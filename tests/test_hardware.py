@@ -126,6 +126,38 @@ def test_percentile_monotone():
         timing.percentile("timewarp", 1.5)
 
 
+def _percentile_via_scipy_stats(timing, component, q, app=None):
+    """The percentile as computed when it called scipy.stats.norm.ppf."""
+    import math
+
+    from scipy.stats import norm
+
+    from repro.hardware.timing import _lognormal_params
+
+    model = timing._model_for(component, app)
+    cpu_scale, gpu_scale = timing._scales(component)
+    z = float(norm.ppf(q))
+    total = 0.0
+    for mean, scale in ((model.cpu_mean, cpu_scale), (model.gpu_mean, gpu_scale)):
+        if mean > 0:
+            mu, sigma = _lognormal_params(mean * scale, model.cov)
+            total += math.exp(mu + sigma * z)
+    return total
+
+
+@pytest.mark.parametrize("platform", sorted(PLATFORMS))
+def test_percentile_bit_exact_vs_scipy_stats(platform):
+    from repro.hardware.timing import APPLICATION_COSTS, COMPONENT_COSTS
+
+    timing = TimingModel(PLATFORMS[platform], seed=0)
+    cases = [(c, None) for c in COMPONENT_COSTS] + [("application", a) for a in APPLICATION_COSTS]
+    for component, app in cases:
+        for q in (0.5, 0.9, 0.99):
+            assert timing.percentile(component, q, app) == _percentile_via_scipy_stats(
+                timing, component, q, app
+            ), (component, app, q)
+
+
 def test_gpu_components_have_gpu_time():
     timing = TimingModel(DESKTOP, seed=0)
     assert timing.sample("hologram").gpu_time > 0

@@ -11,6 +11,7 @@ from repro.maths.splines import (
     TrajectorySpline,
     euler_rates_to_body_omega,
     euler_zyx_to_quat,
+    natural_cubic_coefficients,
 )
 
 # exp/log roundtrips only hold inside the principal ball |phi| < pi.
@@ -187,3 +188,98 @@ def test_spline_rejects_bad_inputs():
 
 def test_spline_duration():
     assert _spline().duration == pytest.approx(4.0)
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact parity with scipy's natural CubicSpline (scipy is only the oracle)
+# ---------------------------------------------------------------------------
+
+
+class _ScipySpline:
+    """What TrajectorySpline computed when it was built on scipy's CubicSpline."""
+
+    def __init__(self, times, positions, eulers):
+        from scipy.interpolate import CubicSpline
+
+        self.t_start, self.t_end = float(times[0]), float(times[-1])
+        self.pos = CubicSpline(times, positions, bc_type="natural")
+        self.vel = self.pos.derivative(1)
+        self.acc = self.pos.derivative(2)
+        self.euler = CubicSpline(times, eulers, bc_type="natural")
+        self.euler_rate = self.euler.derivative(1)
+
+    def sample(self, t):
+        t = float(np.clip(t, self.t_start, self.t_end))
+        yaw, pitch, roll = self.euler(t)
+        yaw_rate, pitch_rate, roll_rate = self.euler_rate(t)
+        return (
+            np.asarray(self.pos(t), dtype=float),
+            np.asarray(self.vel(t), dtype=float),
+            np.asarray(self.acc(t), dtype=float),
+            euler_zyx_to_quat(yaw, pitch, roll),
+            euler_rates_to_body_omega(yaw, pitch, roll, yaw_rate, pitch_rate, roll_rate),
+        )
+
+
+def _fields(sample):
+    return (
+        sample.position, sample.velocity, sample.acceleration,
+        sample.orientation, sample.omega_body,
+    )
+
+
+def _assert_matches_scipy(times, positions, eulers, query_times):
+    from scipy.interpolate import CubicSpline
+
+    values = np.hstack([positions, eulers])
+    oracle_coeffs = CubicSpline(times, values, bc_type="natural").c
+    assert np.array_equal(natural_cubic_coefficients(times, values), oracle_coeffs)
+    ours = TrajectorySpline(times, positions, eulers)
+    oracle = _ScipySpline(times, positions, eulers)
+    for t in query_times:
+        for got, want in zip(_fields(ours.sample(t)), oracle.sample(t)):
+            assert np.array_equal(got, want), f"t={t!r}"
+
+
+@pytest.fixture
+def captured_splines(monkeypatch):
+    """Record the (times, positions, eulers) every trajectory generator builds."""
+    import repro.sensors.trajectory as trajectory
+
+    captured = []
+
+    def recording(times, positions, eulers):
+        captured.append(tuple(np.asarray(a, dtype=float) for a in (times, positions, eulers)))
+        return TrajectorySpline(times, positions, eulers)
+
+    monkeypatch.setattr(trajectory, "TrajectorySpline", recording)
+    return captured
+
+
+@pytest.mark.parametrize("generator", ["lab_walk_trajectory", "vicon_room_trajectory"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("duration", [2.0, 6.5, 35.0])
+def test_trajectory_spline_bit_exact_vs_scipy(captured_splines, generator, seed, duration):
+    import repro.sensors.trajectory as trajectory
+
+    getattr(trajectory, generator)(duration, seed=seed)
+    times, positions, eulers = captured_splines[-1]
+    rng = np.random.default_rng(seed)
+    query_times = np.concatenate([
+        rng.uniform(times[0], times[-1], 150),   # inside the domain
+        times,                                   # every knot
+        [times[0] - 1.0, -1e-9, times[-1] + 1e-9, times[-1] + 5.0],  # clamped
+    ])
+    _assert_matches_scipy(times, positions, eulers, query_times)
+
+
+def test_spline_bit_exact_with_row_interchanges():
+    """Knot gaps that more than double make dgtsv swap rows; still exact."""
+    rng = np.random.default_rng(3)
+    times = np.cumsum([0.0, 0.1, 0.35, 0.05, 0.6, 1.5, 0.2, 0.9, 2.5])
+    dx = np.diff(times)
+    assert np.any(dx[1:] > 2 * dx[:-1])
+    positions = rng.normal(size=(len(times), 3))
+    eulers = rng.normal(scale=0.3, size=(len(times), 3))
+    query_times = np.concatenate([rng.uniform(times[0], times[-1], 300), times, [-2.0, 99.0]])
+    _assert_matches_scipy(times, positions, eulers, query_times)

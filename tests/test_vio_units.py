@@ -189,6 +189,13 @@ def test_chi2_threshold_monotone_in_dof():
         chi2_threshold(0)
 
 
+def test_chi2_threshold_bit_exact_vs_scipy_stats():
+    from scipy.stats import chi2
+
+    for dof in range(1, 401):
+        assert chi2_threshold(dof) == chi2.ppf(0.95, dof), dof
+
+
 def test_chi2_gate_accepts_consistent_and_rejects_gross():
     dim = 10
     covariance = 0.01 * np.eye(dim)
