@@ -1,17 +1,20 @@
-"""Before/after benchmark harness for the accelerated hot-path kernels.
+"""Benchmark harness for the hot-path kernels against their test oracles.
 
-Times each rewritten kernel against the reference implementation it
-retains (``accelerated=False``), checks numerical parity, and writes the
-results to ``BENCH_hotpaths.json`` at the repository root — one datapoint
-in the perf trajectory ROADMAP.md asks every PR to extend.
+Times each kernel against the reference formulation kept in
+``tests/kernel_oracles.py``, checks numerical parity, and writes the
+results to ``BENCH_hotpaths.json`` at the repository root.  Each entry's
+``reference_ms`` is the oracle and ``accelerated_ms`` the shipped kernel.
 
 Kernels covered:
 
 - ``hologram.solve``      — WGS holography (3 planes, 128^2, 10 iterations)
 - ``tsdf.integrate``      — TSDF fusion (96^3 voxels, 80x60 depth camera)
-- ``metrics.ssim``        — SSIM on a 240x320 RGB pair
 - ``metrics.flip``        — FLIP on a 240x320 RGB pair
 - ``switchboard.get_latest_before`` — bisect vs. linear scan over a topic
+
+SSIM has a single implementation and no oracle; it appears only in the
+disabled-instrumentation overhead section, which times the
+``@kernel_span`` wrapper with no tracer active.
 
 Usage::
 
@@ -35,16 +38,17 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 from repro.core.switchboard import Topic  # noqa: E402
+from repro.kernel_span import kernel_span  # noqa: E402
 from repro.maths.se3 import Pose  # noqa: E402
 from repro.metrics.flip import flip  # noqa: E402
 from repro.metrics.ssim import ssim  # noqa: E402
 from repro.perception.reconstruction.tsdf import TsdfVolume  # noqa: E402
-from repro.perf import profile_summary, enable_profiling  # noqa: E402
-from repro.perf import profile as profile_module  # noqa: E402
 from repro.sensors.depth import DepthCamera, DepthScene  # noqa: E402
 from repro.visual.hologram import WeightedGerchbergSaxton  # noqa: E402
+from tests.kernel_oracles import flip_reference, integrate_reference, solve_reference  # noqa: E402
 
 
 def _time(fn: Callable[[], object], repeats: int) -> float:
@@ -74,14 +78,13 @@ def bench_hologram(quick: bool, repeats: int) -> Dict[str, object]:
     iterations = 1 if quick else 10
     depths = (0.05, 0.10, 0.20)
     targets = _focal_targets(n, len(depths), seed=7)
-    reference = WeightedGerchbergSaxton(resolution=n, depths_m=depths, accelerated=False)
-    accelerated = WeightedGerchbergSaxton(resolution=n, depths_m=depths, accelerated=True)
+    solver = WeightedGerchbergSaxton(resolution=n, depths_m=depths)
 
-    ref_result = reference.solve(targets, iterations=iterations, seed=0)
-    acc_result = accelerated.solve(targets, iterations=iterations, seed=0)
+    ref_result = solve_reference(solver, targets, iterations=iterations, seed=0)
+    acc_result = solver.solve(targets, iterations=iterations, seed=0)
     phase_dev = float(np.abs(acc_result.phase - ref_result.phase).max())
-    t_ref = _time(lambda: reference.solve(targets, iterations=iterations, seed=0), repeats)
-    t_acc = _time(lambda: accelerated.solve(targets, iterations=iterations, seed=0), repeats)
+    t_ref = _time(lambda: solve_reference(solver, targets, iterations=iterations, seed=0), repeats)
+    t_acc = _time(lambda: solver.solve(targets, iterations=iterations, seed=0), repeats)
     return {
         "config": {"resolution": n, "planes": len(depths), "iterations": iterations},
         "reference_ms": t_ref * 1e3,
@@ -112,20 +115,20 @@ def bench_tsdf(quick: bool, repeats: int) -> Dict[str, object]:
     poses = _tsdf_poses(2 if quick else 4)
     frames = [camera.render(p, noisy=False) for p in poses]
 
-    def run(accelerated: bool) -> TsdfVolume:
-        volume = TsdfVolume(resolution=resolution, accelerated=accelerated)
+    def run(integrate: Callable[..., int]) -> TsdfVolume:
+        volume = TsdfVolume(resolution=resolution)
         for depth, pose in zip(frames, poses):
-            volume.integrate(depth, pose, camera)
+            integrate(volume, depth, pose, camera)
         return volume
 
-    ref_volume = run(False)
-    acc_volume = run(True)
+    ref_volume = run(integrate_reference)
+    acc_volume = run(TsdfVolume.integrate)
     exact = bool(
         np.array_equal(ref_volume.tsdf, acc_volume.tsdf)
         and np.array_equal(ref_volume.weight, acc_volume.weight)
     )
-    t_ref = _time(lambda: run(False), repeats)
-    t_acc = _time(lambda: run(True), repeats)
+    t_ref = _time(lambda: run(integrate_reference), repeats)
+    t_acc = _time(lambda: run(TsdfVolume.integrate), repeats)
     return {
         "config": {"resolution": resolution, "frames": len(frames), "camera": "80x60"},
         "reference_ms": t_ref * 1e3 / len(frames),
@@ -143,43 +146,18 @@ def _metric_pair(quick: bool) -> tuple:
     return reference, test
 
 
-def bench_ssim(quick: bool, repeats: int) -> Dict[str, object]:
-    reference, test = _metric_pair(quick)
-    ref_value = ssim(reference, test, accelerated=False)
-    acc_value = ssim(reference, test, accelerated=True)
-    exact = bool(
-        np.array_equal(
-            ssim(reference, test, full=True, accelerated=False),
-            ssim(reference, test, full=True, accelerated=True),
-        )
-    )
-    t_ref = _time(lambda: ssim(reference, test, accelerated=False), repeats)
-    t_acc = _time(lambda: ssim(reference, test, accelerated=True), repeats)
-    return {
-        "config": {"shape": list(reference.shape)},
-        "reference_ms": t_ref * 1e3,
-        "accelerated_ms": t_acc * 1e3,
-        "speedup": t_ref / t_acc,
-        "parity": {
-            "value_deviation": abs(acc_value - ref_value),
-            "map_bit_exact": exact,
-            "ok": exact,
-        },
-    }
-
-
 def bench_flip(quick: bool, repeats: int) -> Dict[str, object]:
     reference, test = _metric_pair(quick)
-    ref_value = flip(reference, test, accelerated=False)
-    acc_value = flip(reference, test, accelerated=True)
+    ref_value = flip_reference(reference, test)
+    acc_value = flip(reference, test)
     exact = bool(
         np.array_equal(
-            flip(reference, test, full=True, accelerated=False),
-            flip(reference, test, full=True, accelerated=True),
+            flip_reference(reference, test, full=True),
+            flip(reference, test, full=True),
         )
     )
-    t_ref = _time(lambda: flip(reference, test, accelerated=False), repeats)
-    t_acc = _time(lambda: flip(reference, test, accelerated=True), repeats)
+    t_ref = _time(lambda: flip_reference(reference, test), repeats)
+    t_acc = _time(lambda: flip(reference, test), repeats)
     return {
         "config": {"shape": list(reference.shape)},
         "reference_ms": t_ref * 1e3,
@@ -228,15 +206,14 @@ def _hologram_parity_sweep(seed: int) -> float:
     """Max phase deviation for one seeded target set."""
     n, depths = 64, (0.05, 0.12)
     targets = _focal_targets(n, len(depths), seed=seed)
-    reference = WeightedGerchbergSaxton(resolution=n, depths_m=depths, accelerated=False)
-    accelerated = WeightedGerchbergSaxton(resolution=n, depths_m=depths, accelerated=True)
-    ref = reference.solve(targets, iterations=5, seed=seed)
-    acc = accelerated.solve(targets, iterations=5, seed=seed)
+    solver = WeightedGerchbergSaxton(resolution=n, depths_m=depths)
+    ref = solve_reference(solver, targets, iterations=5, seed=seed)
+    acc = solver.solve(targets, iterations=5, seed=seed)
     return float(np.abs(acc.phase - ref.phase).max())
 
 
 def _disabled_hook_cost_s(loops: int = 100_000) -> float:
-    """Per-call cost of a ``@profiled`` wrapper with profiling disabled.
+    """Per-call cost of a ``@kernel_span`` wrapper with no tracer active.
 
     Directly timing wrapped-vs-bare *kernels* cannot resolve a ~100 ns
     branch under millisecond kernels and multi-percent scheduler jitter,
@@ -244,12 +221,10 @@ def _disabled_hook_cost_s(loops: int = 100_000) -> float:
     function called in a tight loop, wrapped minus unwrapped.  The cost
     is independent of the wrapped body, so it transfers exactly.
     """
-    from repro.perf import profiled
-
     def noop() -> None:
         return None
 
-    wrapped = profiled("overhead.noop")(noop)
+    wrapped = kernel_span("overhead.noop")(noop)
     for _ in range(1_000):  # warm both paths
         noop()
         wrapped()
@@ -267,52 +242,41 @@ def _disabled_hook_cost_s(loops: int = 100_000) -> float:
 
 
 def bench_disabled_overhead(quick: bool, repeats: int) -> Dict[str, object]:
-    """Overhead of disabled instrumentation on the accelerated kernels.
+    """Overhead of disabled instrumentation on the kernels.
 
-    Every accelerated kernel is wrapped by ``@profiled``; switched off
-    (the default, and the state of every untraced run) the wrapper is
-    one global load and a branch per call.  Reports that per-call hook
-    cost as a fraction of each kernel's bare runtime, which CI gates
-    under 3%.
+    Every kernel is wrapped by ``@kernel_span``; with no tracer active
+    (the state of every untraced run) the wrapper is one global load and
+    a branch per call.  Reports that per-call hook cost as a fraction of
+    each kernel's bare runtime, which CI gates under 3%.
     """
-    was_enabled = profile_module.profiling_enabled()
-    profile_module.enable_profiling(False)
-    profile_module.set_tracer(None)
     reps = max(repeats, 9 if quick else 5)
-    try:
-        hook_s = _disabled_hook_cost_s(20_000 if quick else 100_000)
+    hook_s = _disabled_hook_cost_s(20_000 if quick else 100_000)
 
-        n = 32 if quick else 96
-        iterations = 1 if quick else 5
-        depths = (0.05, 0.10, 0.20)
-        targets = _focal_targets(n, len(depths), seed=7)
-        holo = WeightedGerchbergSaxton(resolution=n, depths_m=depths, accelerated=True)
-        bare_solve = type(holo).solve.__wrapped__
-        kernel_bare_s = {
-            "hologram.solve": _time(
-                lambda: bare_solve(holo, targets, iterations=iterations, seed=0), reps
-            )
-        }
-
-        resolution = 32 if quick else 64
-        camera = DepthCamera(DepthScene.default(seed=3), width=80, height=60, noise_std=0.0)
-        pose = _tsdf_poses(1)[0]
-        frame = camera.render(pose, noisy=False)
-        bare_integrate = TsdfVolume.integrate.__wrapped__
-        kernel_bare_s["tsdf.integrate"] = _time(
-            lambda: bare_integrate(
-                TsdfVolume(resolution=resolution, accelerated=True), frame, pose, camera
-            ),
-            reps,
+    n = 32 if quick else 64
+    iterations = 1 if quick else 5
+    depths = (0.05, 0.10, 0.20)
+    targets = _focal_targets(n, len(depths), seed=7)
+    holo = WeightedGerchbergSaxton(resolution=n, depths_m=depths)
+    bare_solve = type(holo).solve.__wrapped__
+    kernel_bare_s = {
+        "hologram.solve": _time(
+            lambda: bare_solve(holo, targets, iterations=iterations, seed=0), reps
         )
+    }
 
-        reference, test = _metric_pair(quick)
-        bare_ssim = ssim.__wrapped__
-        kernel_bare_s["metrics.ssim"] = _time(
-            lambda: bare_ssim(reference, test, accelerated=True), reps
-        )
-    finally:
-        profile_module.enable_profiling(was_enabled)
+    resolution = 32 if quick else 64
+    camera = DepthCamera(DepthScene.default(seed=3), width=80, height=60, noise_std=0.0)
+    pose = _tsdf_poses(1)[0]
+    frame = camera.render(pose, noisy=False)
+    bare_integrate = TsdfVolume.integrate.__wrapped__
+    kernel_bare_s["tsdf.integrate"] = _time(
+        lambda: bare_integrate(TsdfVolume(resolution=resolution), frame, pose, camera),
+        reps,
+    )
+
+    reference, test = _metric_pair(quick)
+    bare_ssim = ssim.__wrapped__
+    kernel_bare_s["metrics.ssim"] = _time(lambda: bare_ssim(reference, test), reps)
 
     return {
         "hook_cost_ns": hook_s * 1e9,
@@ -329,7 +293,6 @@ def bench_disabled_overhead(quick: bool, repeats: int) -> Dict[str, object]:
 BENCHES = {
     "hologram.solve": bench_hologram,
     "tsdf.integrate": bench_tsdf,
-    "metrics.ssim": bench_ssim,
     "metrics.flip": bench_flip,
     "switchboard.get_latest_before": bench_switchboard,
 }
@@ -355,7 +318,6 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
     repeats = args.repeats or (1 if args.quick else 5)
 
-    enable_profiling(True)
     results: Dict[str, object] = {}
     for name, bench in BENCHES.items():
         results[name] = bench(args.quick, repeats)
@@ -374,7 +336,7 @@ def main(argv: List[str] | None = None) -> int:
     print(f"hologram parity sweep over {len(seeds)} seeds: max deviation {max(deviations):.2e}")
 
     overhead = bench_disabled_overhead(args.quick, repeats)
-    print(f"disabled @profiled hook cost: {overhead['hook_cost_ns']:.0f} ns/call")
+    print(f"disabled @kernel_span hook cost: {overhead['hook_cost_ns']:.0f} ns/call")
     for name, entry in overhead["kernels"].items():
         print(
             f"{name:34s} bare {entry['bare_ms']:9.2f} ms   "
@@ -393,14 +355,13 @@ def main(argv: List[str] | None = None) -> int:
             "ok": sweep_ok,
         },
         "disabled_instrumentation_overhead": overhead,
-        "profile": profile_summary(reset=True),
     }
     args.json.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.json}")
 
     parity_ok = sweep_ok and all(entry["parity"]["ok"] for entry in results.values())
     if not parity_ok:
-        print("PARITY FAILURE: accelerated kernels deviate from reference", file=sys.stderr)
+        print("PARITY FAILURE: kernels deviate from their oracles", file=sys.stderr)
         return 1
     if args.gate_overhead is not None:
         over = {

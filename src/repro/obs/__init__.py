@@ -1,8 +1,9 @@
 """Unified observability: causal tracing, metrics, critical-path MTP.
 
 Three previously disconnected telemetry islands -- the §III-E invocation
-records (:mod:`repro.core.records`), the wall-clock kernel profiler
-(:mod:`repro.perf.profile`), and the rosbag-style event recorder
+records (:mod:`repro.core.records`), the wall-clock cost of numeric
+kernels (:mod:`repro.kernel_span`, recorded as ``kernel`` spans while a
+tracer is active), and the rosbag-style event recorder
 (:mod:`repro.analysis.trace`) -- meet here:
 
 - :mod:`repro.obs.tracer` -- causal spans on the simulated clock, with

@@ -1,7 +1,7 @@
 """Causal span tracing on the simulated clock.
 
 A :class:`Span` is one timed unit of work -- a plugin invocation, a
-resource phase inside it, or a ``@profiled`` kernel call nested within.
+resource phase inside it, or a ``@kernel_span`` kernel call nested within.
 Spans form trees via ``parent_id`` (synchronous causality: the trigger
 event that spawned an invocation) and DAGs via :class:`SpanLink`
 (asynchronous causality: a ``get_latest`` read of a topic mid-iteration).
@@ -12,7 +12,7 @@ The tracer is deliberately unaware of wall time: span timestamps come
 from the engine clock it is given, so traces are deterministic across
 machines and comparable across seeds.  The only wall-clock quantities in
 a trace are the ``wall_s`` attributes on ``kernel`` spans recorded by
-:mod:`repro.perf.profile`, which measure *host* cost of real kernels at
+:mod:`repro.kernel_span`, which measure *host* cost of real kernels at
 a simulated-time location.
 
 Because the DES engine is single-threaded and ``plugin.iteration`` runs
@@ -28,6 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from repro import kernel_span
 from repro.obs.context import TraceContext
 
 
@@ -147,12 +148,17 @@ class Tracer:
         """Make ``span`` the current span for the duration of the block.
 
         Only valid around *synchronous* code: never hold an activation
-        across a DES ``yield``.
+        across a DES ``yield``.  While active, this tracer also receives
+        the ``kernel`` spans of :func:`repro.kernel_span.kernel_span`
+        calls; the previous receiver is restored on exit.
         """
         self._stack.append(span)
+        previous = kernel_span.active_tracer
+        kernel_span.active_tracer = self
         try:
             yield span
         finally:
+            kernel_span.active_tracer = previous
             self._stack.pop()
 
     @contextmanager

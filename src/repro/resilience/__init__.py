@@ -20,7 +20,7 @@ scenarios on demand and pins the degradation behaviour down:
 
 Every hook is zero-overhead when no plan/supervisor is installed: the
 scheduler and switchboard pay one attribute load and a branch (the same
-discipline as :mod:`repro.perf.profile`).
+discipline as :mod:`repro.kernel_span`).
 """
 
 from repro.resilience.faults import (

@@ -8,25 +8,24 @@ iteration drives every plane toward its target amplitude while equalizing
 energy across planes.
 
 Task accounting mirrors Table VII's hologram rows: ``hologram_to_depth``
-(forward propagations), ``sum`` (accumulating plane contributions), and
-``depth_to_hologram`` (backward propagations).
+(forward propagations, ending in each plane's amplitude), ``sum``
+(reducing the plane amplitudes to their means), and ``depth_to_hologram``
+(backward propagations).
 
-Two implementations coexist (selected by the ``accelerated`` flag):
+The solver stacks the per-depth transfer functions into one ``(D, N, N)``
+array so a WGS iteration costs a *single* forward FFT of the hologram
+(every plane shares it), one batched inverse FFT, one batched forward FFT
+of the constrained fields, and one inverse FFT of their frequency-domain
+sum.  Per-target masks, flat indices, and norms are cached across
+iterations, and the WGS weights live only on the in-target pixels
+(weights elsewhere multiply a zero target and cannot affect the result).
 
-- the **reference** path propagates each depth plane separately — ``D``
-  forward and ``D`` backward FFT pairs per WGS iteration;
-- the **accelerated** path stacks the per-depth transfer functions into one
-  ``(D, N, N)`` array so a WGS iteration costs a *single* forward FFT of
-  the hologram (every plane shares it), one batched inverse FFT, one
-  batched forward FFT of the constrained fields, and one inverse FFT of
-  their frequency-domain sum.  Per-target masks, flat indices, and norms
-  are cached across iterations, and the WGS weights live only on the
-  in-target pixels (weights elsewhere multiply a zero target and cannot
-  affect the result).
-
-``benchmarks/perf_harness.py`` times both and checks parity; on the
-acceptance configuration (3 planes, 128^2, 10 iterations) the accelerated
-path is >= 2x faster with max phase deviation around 1e-10.
+The original per-plane formulation (``D`` forward and ``D`` backward FFT
+pairs per iteration, built on :meth:`WeightedGerchbergSaxton.propagate`)
+is kept as a test oracle in ``tests/kernel_oracles.py``;
+``benchmarks/perf_harness.py`` times the two and checks parity.  On the
+acceptance configuration (3 planes, 128^2, 10 iterations) the solver is
+about 2x faster, with max phase deviation around 1e-10.
 """
 
 from __future__ import annotations
@@ -34,11 +33,12 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.perf import batched_fft2, batched_ifft2, fft2, global_plan_cache, ifft2, profiled
+from repro.kernel_span import kernel_span
 
 TASK_NAMES = ("hologram_to_depth", "sum", "depth_to_hologram")
 
@@ -55,13 +55,17 @@ class HologramResult:
     task_times: Dict[str, float]
 
 
+@lru_cache(maxsize=64)
 def _build_transfer_stack(
     resolution: int,
     wavelength_m: float,
     pixel_pitch_m: float,
     depths_m: Tuple[float, ...],
 ) -> np.ndarray:
-    """Angular-spectrum transfer functions stacked as one (D, N, N) array."""
+    """Angular-spectrum transfer functions stacked as one (D, N, N) array.
+
+    Cached, so solvers with equal optics share one read-only stack.
+    """
     fx = np.fft.fftfreq(resolution, d=pixel_pitch_m)
     fxx, fyy = np.meshgrid(fx, fx)
     inv_lambda2 = 1.0 / wavelength_m**2
@@ -71,6 +75,7 @@ def _build_transfer_stack(
     stack = np.empty((len(depths_m), resolution, resolution), dtype=complex)
     for k, z in enumerate(depths_m):
         stack[k] = np.where(propagating, np.exp(1j * kz * z), 0.0)
+    stack.flags.writeable = False
     return stack
 
 
@@ -82,7 +87,6 @@ class WeightedGerchbergSaxton:
     wavelength_m: float = 520e-9
     pixel_pitch_m: float = 8e-6
     depths_m: Sequence[float] = (0.05, 0.10, 0.20)
-    accelerated: bool = True
     _transfer: Dict[float, np.ndarray] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -93,21 +97,11 @@ class WeightedGerchbergSaxton:
         for z in self.depths_m:
             if z <= 0:
                 raise ValueError(f"depth must be positive: {z}")
-        key = (
-            "wgs.transfer",
+        self._transfer_stack = _build_transfer_stack(
             self.resolution,
             float(self.wavelength_m),
             float(self.pixel_pitch_m),
             tuple(float(z) for z in self.depths_m),
-        )
-        self._transfer_stack = global_plan_cache.get_or_build(
-            key,
-            lambda: _build_transfer_stack(
-                self.resolution,
-                self.wavelength_m,
-                self.pixel_pitch_m,
-                tuple(self.depths_m),
-            ),
         )
         self._transfer_conj = np.conj(self._transfer_stack)
         for k, z in enumerate(self.depths_m):
@@ -122,8 +116,10 @@ class WeightedGerchbergSaxton:
 
     def propagate_all(self, field_in: np.ndarray, forward: bool = True) -> np.ndarray:
         """Propagate one hologram field to every depth plane in one batch."""
+        from scipy.fft import fft2, ifft2
+
         h = self._transfer_stack if forward else self._transfer_conj
-        return batched_ifft2(fft2(field_in)[None, :, :] * h)
+        return ifft2(fft2(field_in)[None, :, :] * h)
 
     def _validated_targets(self, targets: Sequence[np.ndarray]) -> List[np.ndarray]:
         if len(targets) != len(self.depths_m):
@@ -139,23 +135,14 @@ class WeightedGerchbergSaxton:
                 raise ValueError("target amplitudes must be non-negative")
         return targets
 
-    @profiled("hologram.solve")
+    @kernel_span("hologram.solve")
     def solve(
         self, targets: Sequence[np.ndarray], iterations: int = 10, seed: int = 0
     ) -> HologramResult:
         """Run WGS for the per-plane target amplitude images."""
+        from scipy.fft import fft2, ifft2
+
         targets = self._validated_targets(targets)
-        if self.accelerated:
-            return self._solve_accelerated(targets, iterations, seed)
-        return self._solve_reference(targets, iterations, seed)
-
-    # ------------------------------------------------------------------
-    # Accelerated path: batched propagation, cached masks, sparse weights.
-    # ------------------------------------------------------------------
-
-    def _solve_accelerated(
-        self, targets: List[np.ndarray], iterations: int, seed: int
-    ) -> HologramResult:
         n = self.resolution
         d = len(self.depths_m)
         task_times: Dict[str, float] = defaultdict(float)
@@ -184,19 +171,19 @@ class WeightedGerchbergSaxton:
             t0 = time.perf_counter()
             # Every plane shares the hologram's spectrum: one forward FFT,
             # one batched inverse FFT, instead of D separate FFT pairs.
-            plane_fields = batched_ifft2(
-                fft2(holo)[None, :, :] * self._transfer_stack
-            )
+            plane_fields = ifft2(fft2(holo)[None, :, :] * self._transfer_stack)
+            # The propagation yields each plane's amplitude, read only on
+            # the in-target pixels; ``sum`` is the reduction over them.
+            field_flat = plane_fields.reshape(-1)
+            masked_amps = [np.abs(field_flat[i]) for i in plane_idx]
             task_times["hologram_to_depth"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            amp_flat = np.abs(plane_fields).reshape(-1)
-            masked_amps = [amp_flat[i] for i in plane_idx]
             plane_means = [
                 float(a.mean()) if has_target[k] else 0.0
                 for k, a in enumerate(masked_amps)
             ]
-            mean_amp = float(np.mean(plane_means))
+            mean_amp = sum(plane_means) / d
             task_times["sum"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
@@ -217,7 +204,7 @@ class WeightedGerchbergSaxton:
             # constrained_k = w_k * t_k * exp(i*angle(f_k)) == f_k * ratio_k.
             constrained = plane_fields * ratio.reshape(d, n, n)
             # ifft2 is linear: sum the spectra, invert once.
-            spectra = batched_fft2(constrained)
+            spectra = fft2(constrained)
             accumulated = ifft2(np.einsum("kij,kij->ij", spectra, h_conj))
             holo = accumulated / np.maximum(np.abs(accumulated), 1e-300)
             task_times["depth_to_hologram"] += time.perf_counter() - t0
@@ -240,74 +227,6 @@ class WeightedGerchbergSaxton:
             if total > 0:
                 efficiencies.append(float((amps_in_target**2).sum()) / total)
                 plane_means.append(float(amps_in_target.mean()))
-        return self._result(phase, plane_amps, efficiencies, plane_means, iterations, task_times)
-
-    # ------------------------------------------------------------------
-    # Reference path: the original per-plane implementation, kept for
-    # parity tests and before/after benchmarking.
-    # ------------------------------------------------------------------
-
-    def _solve_reference(
-        self, targets: List[np.ndarray], iterations: int, seed: int
-    ) -> HologramResult:
-        n = self.resolution
-        task_times: Dict[str, float] = defaultdict(float)
-        rng = np.random.default_rng(seed)
-        phase = rng.uniform(-np.pi, np.pi, (n, n))
-        weights = [np.ones((n, n)) for _ in targets]
-        # Normalize targets to unit energy so weighting is meaningful.
-        targets = [t / max(np.sqrt((t**2).sum()), 1e-12) for t in targets]
-
-        plane_amps: List[np.ndarray] = [np.zeros((n, n)) for _ in targets]
-        for _iteration in range(iterations):
-            hologram_field = np.exp(1j * phase)
-            plane_fields = []
-            t0 = time.perf_counter()
-            for z in self.depths_m:
-                plane_fields.append(self.propagate(hologram_field, z, forward=True))
-            task_times["hologram_to_depth"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            mean_amp = np.mean(
-                [float(np.mean(np.abs(f)[t > 0])) if np.any(t > 0) else 0.0
-                 for f, t in zip(plane_fields, targets)]
-            )
-            task_times["sum"] += time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            accumulated = np.zeros((n, n), dtype=complex)
-            for k, (z, target) in enumerate(zip(self.depths_m, targets)):
-                amp = np.abs(plane_fields[k])
-                plane_amps[k] = amp
-                # WGS weight update: boost planes that are lagging.  The
-                # update is skipped when the plane carries no energy in its
-                # target region (plane_mean == 0), stated as an explicit
-                # branch rather than a conditional expression trailing the
-                # product.
-                in_target = target > 0
-                if np.any(in_target):
-                    plane_mean = float(np.mean(amp[in_target]))
-                    if plane_mean > 0:
-                        weights[k] = weights[k] * np.where(
-                            in_target, (mean_amp + 1e-12) / (amp + 1e-12), 1.0
-                        ) ** 0.5
-                constrained = weights[k] * target * np.exp(1j * np.angle(plane_fields[k]))
-                accumulated += self.propagate(constrained, z, forward=False)
-            phase = np.angle(accumulated)
-            task_times["depth_to_hologram"] += time.perf_counter() - t0
-
-        # Final forward pass for metrics.
-        hologram_field = np.exp(1j * phase)
-        efficiencies = []
-        plane_means = []
-        for k, (z, target) in enumerate(zip(self.depths_m, targets)):
-            f = self.propagate(hologram_field, z, forward=True)
-            plane_amps[k] = np.abs(f)
-            in_target = target > 0
-            total = float((np.abs(f) ** 2).sum())
-            if np.any(in_target) and total > 0:
-                efficiencies.append(float((np.abs(f)[in_target] ** 2).sum()) / total)
-                plane_means.append(float(np.mean(np.abs(f)[in_target])))
         return self._result(phase, plane_amps, efficiencies, plane_means, iterations, task_times)
 
     @staticmethod

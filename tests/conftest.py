@@ -9,23 +9,6 @@ from repro.hardware.platform import DESKTOP
 from repro.sensors.dataset import make_vicon_room_dataset
 
 
-@pytest.fixture(autouse=True)
-def _isolate_profiler():
-    """Reset the process-wide profiler registry around every test.
-
-    The ``repro.perf.profile`` registry, enabled flag, and installed span
-    tracer are module-level state; a test that enables profiling (or a
-    traced run that installs a tracer) must not leak into its neighbours.
-    """
-    from repro.perf import profile
-
-    was_enabled = profile.profiling_enabled()
-    yield
-    profile.enable_profiling(was_enabled)
-    profile.reset_profile()
-    profile.set_tracer(None)
-
-
 @pytest.fixture(scope="session")
 def small_dataset():
     """A 6-second offline dataset shared by VIO tests."""

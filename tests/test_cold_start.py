@@ -5,8 +5,11 @@ time is paid once per run.  The runtime path imports numpy and
 ``scipy.special`` only; the heavier scipy packages belong to the kernels
 that use them (SSIM/FLIP, distortion, reconstruction, hologram FFTs), and
 the renderer's ray grid and the HRTF table are built on first use.  The
-checks run in a fresh interpreter, since this test process has long since
-imported everything.
+kernels time themselves through the standard-library-only
+:mod:`repro.kernel_span`, so importing them (as the Table V replay does)
+does not load the observability package either.  The checks run in a
+fresh interpreter, since this test process has long since imported
+everything.
 """
 
 import json
@@ -58,11 +61,25 @@ print(json.dumps({
 """
 
 
-def _probe() -> dict:
+_REPLAY_PROBE = """
+import json, sys
+from repro import DESKTOP, SystemConfig, build_runtime
+build_runtime(DESKTOP, "sponza", SystemConfig(duration_s=0.3, fidelity="full"))
+obs_after_build = sorted(m for m in sys.modules if m.startswith("repro.obs"))
+import repro.metrics.qoe
+print(json.dumps({
+    "obs_after_build": obs_after_build,
+    "obs_after_qoe": sorted(m for m in sys.modules if m.startswith("repro.obs")),
+    "kernels_loaded": "repro.metrics.ssim" in sys.modules and "repro.metrics.flip" in sys.modules,
+}))
+"""
+
+
+def _probe(script: str = _PROBE) -> dict:
     path = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env, timeout=300,
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -81,6 +98,13 @@ def test_model_runtime_cold_start_skips_heavy_scipy_and_render_tables():
     assert not report["ray_grid_built"]
     assert not report["hrtf_built"]
     assert not report["decoder_built"]
+
+
+def test_replay_kernels_do_not_load_observability():
+    report = _probe(_REPLAY_PROBE)
+    assert report["obs_after_build"] == []
+    assert report["kernels_loaded"]
+    assert report["obs_after_qoe"] == []
 
 
 def test_render_tables_built_once_on_first_use():

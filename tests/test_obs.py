@@ -8,15 +8,21 @@ Covers the acceptance criteria of the causal-tracing work:
   MTP metric per frame to 1e-6 s;
 - supervisor lifecycle events are routed onto ``sys/observability``;
 - every core hook is a None-check: untraced runs see no trace state;
-- the profiler nests ``@profiled`` kernels as spans.
+- ``@kernel_span`` kernels nest as spans under the active span only, and
+  no tracer outlives its run.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+import repro.kernel_span as kernel_span_module
 from repro.core.config import SystemConfig
 from repro.core.runtime import build_runtime
 from repro.hardware.platform import DESKTOP
+from repro.kernel_span import kernel_span
 from repro.obs import (
     MetricsRegistry,
     SpanLink,
@@ -28,7 +34,6 @@ from repro.obs import (
     render_report,
     validate_chrome_trace,
 )
-from repro.perf import profile
 from repro.resilience import FaultPlan, SupervisorConfig
 
 
@@ -261,42 +266,71 @@ def test_scheduler_and_switchboard_metrics_populated(traced_run):
     assert result.summary()["observability"]["spans"] > 0
 
 
-@profile.profiled("obs_test.square")
-def profile_square(x):
+@kernel_span("obs_test.square")
+def kernel_square(x):
     return x * x
 
 
 def test_kernel_spans_nest_inside_invocations():
-    """@profiled kernels fire as kernel spans inside the active plugin span
-    when profiling is enabled -- and stay span-free outside activations."""
+    """@kernel_span kernels fire as kernel spans inside the active span,
+    with no enable call -- and stay span-free outside activations."""
     tracer = Tracer()
-    profile.set_tracer(tracer)
-    profile.enable_profiling(True)
     invocation = tracer.start_span("timewarp#0", track="timewarp", kind="invocation")
     with tracer.activate(invocation):
-        profile_square(3)
-    profile_square(4)  # outside any span: recorded, but no span emitted
+        assert kernel_square(3) == 9
+    assert kernel_square(4) == 16  # outside any span: no span emitted
     kernels = [s for s in tracer.spans if s.kind == "kernel"]
     assert len(kernels) == 1
     kernel = kernels[0]
+    assert kernel.name == "obs_test.square"
     assert kernel.parent_id == invocation.span_id
     assert kernel.track == "timewarp"
     assert kernel.attributes["wall_s"] > 0
     assert kernel.duration == 0.0  # zero simulated time; wall_s carries cost
-    assert profile.profile_summary()["obs_test.square"]["calls"] == 2
+
+
+def test_kernel_spans_go_to_the_innermost_activation():
+    outer, inner = Tracer(), Tracer()
+    outer_span = outer.start_span("outer#0", track="outer", kind="invocation")
+    inner_span = inner.start_span("inner#0", track="inner", kind="invocation")
+    with outer.activate(outer_span):
+        with inner.activate(inner_span):
+            kernel_square(2)
+        kernel_square(3)  # the outer tracer is restored on exit
+    assert [s.parent_id for s in inner.spans if s.kind == "kernel"] == [inner_span.span_id]
+    assert [s.parent_id for s in outer.spans if s.kind == "kernel"] == [outer_span.span_id]
+
+
+def test_no_tracer_outlives_a_traced_run():
+    config = SystemConfig(duration_s=0.5, fidelity="model", seed=0)
+    runtime = build_runtime(DESKTOP, "platformer", config, observability=True)
+    result = runtime.run()
+    tracer = weakref.ref(result.observability.tracer)
+    del runtime, result
+    gc.collect()
+    assert tracer() is None
 
 
 def test_profiler_state_isolated_between_tests():
-    # The autouse fixture must have cleared the previous test's registry
-    # and restored the disabled default.
-    assert not profile.profiling_enabled()
-    assert profile.profile_summary() == {}
+    # Every activation of the earlier tests has ended and put the slot
+    # back: no tracer carries over into the next test.
+    assert kernel_span_module.active_tracer is None
+    assert kernel_square(5) == 25
 
 
 def test_traced_runtime_installs_profile_tracer():
     config = SystemConfig(duration_s=0.5, fidelity="model", seed=0)
     runtime = build_runtime(DESKTOP, "platformer", config, observability=True)
-    assert profile._tracer is runtime.observability.tracer
+    seen = []
+    runtime.switchboard.topic("fast_pose").subscribe_callback(
+        lambda _event: seen.append(kernel_span_module.active_tracer)
+    )
+    assert kernel_span_module.active_tracer is None
+    runtime.run()
+    # Inside the run's invocations, kernels record into the run's tracer;
+    # once the run is over the slot is empty again.
+    assert seen and all(t is runtime.observability.tracer for t in seen)
+    assert kernel_span_module.active_tracer is None
 
 
 # ---------------------------------------------------------------------------
