@@ -90,6 +90,9 @@ class RuntimeResult:
         """A JSON-serializable metrics snapshot (the paper artifact's
         ``results/metrics/metrics-<hardware>-<app>`` equivalent)."""
         mtp = self.mtp_summary()
+        # With no displayed frame the latency statistics are undefined:
+        # null, not NaN, so the summary stays strict JSON.
+        empty = mtp.count == 0
         summary: Dict[str, object] = {
             "platform": self.platform.key,
             "app": self.app_name,
@@ -100,10 +103,10 @@ class RuntimeResult:
                 name: self.logger.drop_count(name) for name in self.logger.plugins()
             },
             "mtp_ms": {
-                "mean": mtp.mean_ms,
-                "std": mtp.std_ms,
-                "p99": mtp.p99_ms,
-                "max": mtp.max_ms,
+                "mean": None if empty else mtp.mean_ms,
+                "std": None if empty else mtp.std_ms,
+                "p99": None if empty else mtp.p99_ms,
+                "max": None if empty else mtp.max_ms,
                 "count": mtp.count,
                 "vr_target_met_fraction": mtp.vr_target_met_fraction,
                 "ar_target_met_fraction": mtp.ar_target_met_fraction,

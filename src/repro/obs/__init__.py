@@ -9,7 +9,8 @@ tracer is active), and the rosbag-style event recorder
 - :mod:`repro.obs.tracer` -- causal spans on the simulated clock, with
   trace contexts propagated through every switchboard event;
 - :mod:`repro.obs.metrics` -- a labeled counters/gauges/histograms
-  registry wired into the scheduler, switchboard, and supervisor;
+  registry wired into the scheduler, switchboard, and the
+  ``supervision`` topic;
 - :mod:`repro.obs.export` -- Chrome trace-event JSON (Perfetto-loadable)
   with flow arrows along event lineage;
 - :mod:`repro.obs.critical_path` -- per-frame MTP decomposition walked
@@ -30,7 +31,7 @@ from repro.obs.critical_path import (
 )
 from repro.obs.export import chrome_trace, save_chrome_trace, validate_chrome_trace
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.observability import MTP_BUCKETS_S, SYS_TOPIC, Observability
+from repro.obs.observability import MTP_BUCKETS_S, Observability
 from repro.obs.tracer import Span, SpanLink, Tracer
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "MTP_BUCKETS_S",
     "MetricsRegistry",
     "Observability",
-    "SYS_TOPIC",
     "Span",
     "SpanLink",
     "TraceContext",

@@ -10,10 +10,10 @@ protocols the core exposes:
 - the **scheduler hooks** (``begin_invocation`` / ``note_attempt`` /
   ``end_invocation`` / ``on_scheduler_drop``), which wrap every plugin
   invocation in a span and feed the scheduler metrics;
-- a subscriber on the ``sys/observability`` topic, which converts
-  supervisor lifecycle events (crash, retry, quarantine, dead-letter,
-  degraded) into instant spans and counters so chaos runs are visible in
-  exported traces.
+- a subscriber on the ``supervision`` topic, which converts supervisor
+  lifecycle events (crash, hang, retry, quarantine, dead-letter) and
+  plugin degradation notices into instant spans and counters so chaos
+  runs are visible in exported traces.
 
 Every hook site in the core is a ``None``-check: with no Observability
 attached, the runtime pays one attribute load and a branch -- the same
@@ -27,9 +27,6 @@ from typing import Any, Dict, Optional
 from repro.obs.context import TraceContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, SpanLink, Tracer
-
-#: Topic supervisors route lifecycle events to (see repro.resilience).
-SYS_TOPIC = "sys/observability"
 
 #: MTP histogram bounds (seconds): 1 ms .. 100 ms, log-ish spacing that
 #: brackets the 5 ms AR and 20 ms VR targets of Table I.
@@ -45,8 +42,6 @@ class Observability:
     def __init__(self) -> None:
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.enabled = True
-        self._engine = None
         # Pre-registered instruments (hot-path hooks must not pay the
         # registry lookup on every call).
         m = self.metrics
@@ -55,9 +50,6 @@ class Observability:
         )
         self._injector_drops = m.counter(
             "switchboard_drops_total", "publishes suppressed by fault injection"
-        )
-        self._dead_letters = m.counter(
-            "switchboard_dead_letters_total", "poison events routed to dead_letter"
         )
         self._queue_depth = m.gauge(
             "switchboard_queue_depth", "unread events on the deepest sync reader"
@@ -89,12 +81,10 @@ class Observability:
     # ------------------------------------------------------------------
 
     def attach(self, engine, switchboard) -> None:
-        """Bind to a run: clock, switchboard observer, sys-topic taps."""
-        self._engine = engine
+        """Bind to a run: clock, switchboard observer, supervision tap."""
         self.tracer.set_clock(lambda: engine.now)
         switchboard.install_observer(self)
-        switchboard.topic(SYS_TOPIC).subscribe_callback(self._on_sys_event)
-        switchboard.topic("dead_letter").subscribe_callback(self._on_dead_letter)
+        switchboard.topic("supervision").subscribe_callback(self._on_supervision_event)
 
     # ------------------------------------------------------------------
     # Switchboard observer protocol
@@ -230,19 +220,11 @@ class Observability:
         ):
             self._mtp_segments.observe(value, segment=segment)
 
-    def mtp_percentiles(self) -> Dict[str, float]:
-        """Online p50/p95/p99 of the MTP histogram, in milliseconds."""
-        return {
-            "p50_ms": self._mtp.quantile(0.50) * 1e3,
-            "p95_ms": self._mtp.quantile(0.95) * 1e3,
-            "p99_ms": self._mtp.quantile(0.99) * 1e3,
-        }
-
     # ------------------------------------------------------------------
-    # sys/observability + dead-letter taps
+    # Supervision tap
     # ------------------------------------------------------------------
 
-    def _on_sys_event(self, event) -> None:
+    def _on_supervision_event(self, event) -> None:
         notice = event.data
         kind = getattr(notice, "kind", "event")
         plugin = getattr(notice, "plugin", "unknown")
@@ -253,9 +235,6 @@ class Observability:
             attributes={"detail": getattr(notice, "detail", ""), "at": event.publish_time},
         )
 
-    def _on_dead_letter(self, event) -> None:
-        self._dead_letters.inc()
-
     # ------------------------------------------------------------------
 
     def summary(self) -> Dict[str, object]:
@@ -263,6 +242,5 @@ class Observability:
         return {
             "spans": len(self.tracer.spans),
             "traces": self.tracer._next_trace - 1,
-            "mtp": self.mtp_percentiles(),
             "metrics": self.metrics.snapshot(),
         }

@@ -16,6 +16,12 @@ plugin: its driver stops, and a quarantine event is published on the
 ``supervision`` topic so degradation policies can react (e.g. the
 integrator falls back to IMU-only propagation when VIO is quarantined).
 
+``supervision`` is the one control-plane topic: every event the
+supervisor ledgers is delivered there once, at the engine's current
+time, and plugins publish their "degraded" notices there too, so the
+topic carries the ledger (:attr:`RuntimeSupervisor.events`) event for
+event.
+
 State machine per plugin::
 
     healthy --crash/hang--> backing-off --retry ok--> healthy
@@ -29,6 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+#: The control-plane topic: supervisor lifecycle events and plugin
+#: degradation notices (the integrator and timewarp use the same name).
+SUPERVISION_TOPIC = "supervision"
+#: Where poison trigger events go once their retry also fails.
+DEAD_LETTER_TOPIC = "dead_letter"
+
 
 @dataclass(frozen=True)
 class SupervisorConfig:
@@ -41,13 +53,6 @@ class SupervisorConfig:
     backoff_max: float = 0.25            # backoff ceiling
     watchdog_factor: float = 4.0         # hang threshold, in units of the deadline
     watchdog_default: float = 0.25       # hang threshold for deadline-less plugins
-    dead_letter: bool = True             # route poison events instead of dropping them
-    dead_letter_topic: str = "dead_letter"
-    supervision_topic: str = "supervision"
-    # Every lifecycle event (crash, hang, retry, quarantine, dead_letter,
-    # degraded) is also delivered here so traced chaos runs show the
-    # supervisor's actions on their own lane (see repro.obs).
-    observability_topic: str = "sys/observability"
 
     def __post_init__(self) -> None:
         if self.max_consecutive_failures < 1:
@@ -106,7 +111,8 @@ class RuntimeSupervisor:
 
         Subscribes to the supervision topic so degradation notices
         published *by plugins* (e.g. the integrator announcing IMU-only
-        fallback) land in the same event ledger.
+        fallback) land in the same event ledger.  They are already on the
+        topic, so the ledger only records them.
         """
         self._switchboard = switchboard
         self._engine = engine
@@ -114,22 +120,21 @@ class RuntimeSupervisor:
         def collect(event) -> None:
             notice = event.data
             if isinstance(notice, SupervisionEvent) and notice.kind == "degraded":
-                self._emit(notice)
+                self.events.append(notice)
 
-        switchboard.topic(self.config.supervision_topic).subscribe_callback(collect)
+        switchboard.topic(SUPERVISION_TOPIC).subscribe_callback(collect)
 
     def _emit(self, event: SupervisionEvent) -> None:
-        """Ledger the event and route it onto the observability topic.
+        """Ledger the event and deliver it once on the supervision topic.
 
         Uses ``deliver`` (not ``put``): supervision traffic must never
-        itself be faulted.  Without a switchboard (standalone unit use)
-        the ledger alone is kept.
+        itself be faulted.  The publish time is the engine's current
+        time, so the topic's timeline stays monotonic.  Without a
+        switchboard (standalone unit use) the ledger alone is kept.
         """
         self.events.append(event)
         if self._switchboard is not None:
-            self._switchboard.topic(self.config.observability_topic).deliver(
-                event.time, event
-            )
+            self._switchboard.topic(SUPERVISION_TOPIC).deliver(self._engine.now, event)
 
     # ------------------------------------------------------------------
     # Outcome handlers (called by the scheduler)
@@ -185,8 +190,8 @@ class RuntimeSupervisor:
         entry = self.plugin_health(name)
         entry.dead_letters += 1
         self._emit(SupervisionEvent(time, name, "dead_letter", repr(exc)))
-        if self.config.dead_letter and self._switchboard is not None:
-            topic = self._switchboard.topic(self.config.dead_letter_topic)
+        if self._switchboard is not None:
+            topic = self._switchboard.topic(DEAD_LETTER_TOPIC)
             topic.deliver(time, event, data_time=getattr(event, "effective_data_time", None))
 
     def _quarantine(self, name: str, time: float) -> None:
@@ -195,10 +200,8 @@ class RuntimeSupervisor:
             return
         entry.quarantined = True
         entry.quarantined_at = time
-        notice = SupervisionEvent(time, name, "quarantine", f"after {entry.consecutive_failures} consecutive failures")
-        self._emit(notice)
-        if self._switchboard is not None:
-            self._switchboard.topic(self.config.supervision_topic).deliver(time, notice)
+        detail = f"after {entry.consecutive_failures} consecutive failures"
+        self._emit(SupervisionEvent(time, name, "quarantine", detail))
 
     # ------------------------------------------------------------------
 

@@ -8,15 +8,20 @@ each of the 3 platforms x 4 applications, at model fidelity:
   as an untraced one, with and without a fault plan;
 - under the fault plan (stalled application frames the watchdog reaps,
   crashing VIO invocations the supervisor retries), the scheduler
-  counters agree with the records plugin by plugin.
+  counters agree with the records plugin by plugin;
+- under random fault plans, control-plane traffic never crashes a run:
+  the ``supervision`` topic carries the supervisor's ledger event for
+  event on a monotonic timeline, the summary is strict JSON, and on
+  traced runs the supervisor event counter matches the ledger.
 """
 
+import json
 from collections import Counter
 
 import pytest
 
 from repro import APPLICATIONS, PLATFORMS, SystemConfig, build_runtime
-from repro.resilience import FaultPlan
+from repro.resilience import FaultPlan, random_fault_plan
 
 CELLS = [(platform, app) for platform in sorted(PLATFORMS) for app in sorted(APPLICATIONS)]
 
@@ -40,9 +45,12 @@ def _simulated(result):
     return result.logger.records, result.logger.drops, result.mtp_samples
 
 
-def _per_plugin(counter) -> Counter:
-    """A ``plugin``-labelled counter as plugin -> count."""
-    return Counter({label.split("=", 1)[1]: value for label, value in counter.series().items()})
+def _per_label(counter, label: str = "plugin") -> Counter:
+    """A labelled counter summed per value of ``label``."""
+    totals = Counter()
+    for labels, value in counter.series().items():
+        totals[dict(kv.split("=", 1) for kv in labels.split(","))[label]] += value
+    return totals
 
 
 @pytest.mark.parametrize("platform,app", CELLS)
@@ -70,6 +78,34 @@ def test_scheduler_counters_agree_with_records_under_faults(platform, app):
         "scheduler_drops_total": Counter(d.plugin for d in traced.logger.drops),
     }
     for name, counts in expected.items():
-        assert _per_plugin(metrics.counter(name)) == counts, name
+        assert _per_label(metrics.counter(name)) == counts, name
     # The plan must actually exercise the kill path.
     assert expected["scheduler_kills_total"]
+
+
+CONTROL_PLANE_SEEDS = range(8)
+
+
+@pytest.mark.parametrize("platform,app", CELLS)
+def test_control_plane_never_crashes_a_run(platform, app):
+    for seed in CONTROL_PLANE_SEEDS:
+        traced = seed % 2 == 0
+        runtime = build_runtime(
+            PLATFORMS[platform],
+            app,
+            SystemConfig(duration_s=1.5, seed=seed, fidelity="model"),
+            fault_plan=random_fault_plan(seed),
+            observability=True if traced else None,
+        )
+        carried = []
+        runtime.switchboard.topic("supervision").subscribe_callback(carried.append)
+        result = runtime.run()
+        json.dumps(result.summary(), allow_nan=False)
+
+        ledger = runtime.supervisor.events
+        assert [e.data for e in carried] == ledger, seed
+        times = [e.publish_time for e in carried]
+        assert times == sorted(times), seed
+        if traced:
+            counter = result.observability.metrics.counter("supervisor_events_total")
+            assert _per_label(counter, "kind") == Counter(e.kind for e in ledger), seed
